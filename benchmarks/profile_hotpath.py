@@ -2,11 +2,13 @@
 
 Runs the seeded TPC-W and open-loop workloads under ``cProfile`` and
 ``tracemalloc`` and prints top-N tables of cumulative time, self time
-and allocation sites.  This is the harness the hot-path optimisation
-work is driven from: every per-transaction cost attacked in
-``docs/performance.md`` (synopsis composites, context hashing, thread
-shell recycling, batched SEDA dequeue, span allocation) first showed up
-at the top of these tables.
+and allocation sites, plus the cyclic garbage collector's passes per
+generation and its host time per transaction (which cProfile spreads
+over whatever frame happened to allocate).  This is the harness the
+hot-path optimisation work is driven from: every per-transaction cost
+attacked in ``docs/performance.md`` (synopsis composites, context
+hashing, thread shell recycling, batched SEDA dequeue, span allocation,
+reference cycles) first showed up in these tables.
 
 Not a pytest benchmark — run it directly::
 
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -34,15 +38,17 @@ from benchharness import fmt, print_table  # noqa: E402
 
 
 def run_tpcw(clients: int = 60, duration: float = 40.0, warmup: float = 5.0):
-    """The telemetry benchmark's TPC-W workload (seed 23)."""
+    """The telemetry benchmark's TPC-W workload (seed 23); returns the
+    number of completed interactions."""
     from repro.apps.tpcw import TpcwSystem
 
     system = TpcwSystem(clients=clients, seed=23)
-    return system.run(duration=duration, warmup=warmup)
+    return len(system.run(duration=duration, warmup=warmup).log.records)
 
 
 def run_openloop(sessions: int = 4000, duration: float = 120.0, rate: float = 60.0):
-    """The scale-out benchmark's open-loop Haboob workload (seed 42)."""
+    """The scale-out benchmark's open-loop Haboob workload (seed 42);
+    returns the number of completed requests."""
     from repro.apps.haboob import HaboobConfig, HaboobServer
     from repro.sim import Kernel, Rng
     from repro.workloads import OpenLoopClientPool, WebTrace
@@ -64,10 +70,38 @@ def run_openloop(sessions: int = 4000, duration: float = 120.0, rate: float = 60
     )
     pool.start()
     kernel.run(until=duration)
-    return pool
+    return pool.completed_requests
 
 
 WORKLOADS = {"tpcw": run_tpcw, "openloop": run_openloop}
+
+
+class GcMeter:
+    """Collector passes per generation and their host seconds.
+
+    A ``gc.callbacks`` hook: cProfile charges a collection to whichever
+    frame happened to allocate, so the collector never shows up as a
+    line of its own in the tables above.
+    """
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self):
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self)
 
 
 def _stat_rows(stats: pstats.Stats, sort: str, top: int):
@@ -106,6 +140,27 @@ def profile_workload(name: str, top: int, telemetry_mode: str) -> None:
             _stat_rows(stats, sort, top),
         )
 
+    # The collector's share comes from a second, uninstrumented run:
+    # cProfile and tracemalloc slow the collector and everything else
+    # by different factors.
+    if telemetry_mode != "off":
+        telemetry.install(telemetry_mode)
+    gc.collect()
+    try:
+        with GcMeter() as meter:
+            started = time.perf_counter()
+            txns = run()
+            wall = time.perf_counter() - started
+    finally:
+        telemetry.uninstall()
+    print_table(
+        f"{name} — cyclic garbage collector, uninstrumented run "
+        f"({txns} transactions, {fmt(1e6 * wall / txns, 1)} µs each)",
+        ["gen 0", "gen 1", "gen 2", "collector µs/txn", "share of wall"],
+        [[*meter.collections, fmt(1e6 * meter.seconds / txns, 1),
+          f"{100.0 * meter.seconds / wall:.1f}%"]],
+    )
+
     alloc_rows = []
     for stat in snapshot.statistics("lineno")[:top]:
         frame = stat.traceback[0]
@@ -127,7 +182,7 @@ def main(argv=None) -> int:
         "workload",
         nargs="*",
         choices=[*WORKLOADS, []],
-        default=list(WORKLOADS),
+        default=[],
         help="workloads to profile (default: all)",
     )
     parser.add_argument("--top", type=int, default=20, help="rows per table")

@@ -136,6 +136,8 @@ class Endpoint:
             timer = getattr(blocked, "timer", None)
             if timer is not None:
                 timer.cancel()
+                # The timer's args hold the Recv: break the cycle.
+                blocked.timer = None
             self.kernel.resume(receiver, message)
             return
         self._buffer.append(message)
@@ -200,6 +202,8 @@ class Recv(Syscall):
     timer: if nothing arrives in time the thread is resumed with the
     :data:`TIMED_OUT` sentinel instead of a message.  The timer is
     cancelled on delivery, so a served receive leaves no heap garbage.
+    The timer's args hold the ``Recv``, so ``timer`` is cleared once it
+    fires or is cancelled: neither leaves a reference cycle behind.
     """
 
     __slots__ = ("endpoint", "timeout", "timer")
@@ -222,6 +226,7 @@ class Recv(Syscall):
             self.timer = kernel.schedule(self.timeout, self._expire, kernel, thread)
 
     def _expire(self, kernel: "Kernel", thread: SimThread) -> None:
+        self.timer = None
         # Identity check: the thread may since have been resumed and be
         # blocked on a different (even same-endpoint) syscall.
         if thread.blocked_on is not self:

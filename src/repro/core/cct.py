@@ -214,6 +214,21 @@ class CallingContextTree:
         clone.merge(self)
         return clone
 
+    def release(self) -> None:
+        """Unlink the tree so reference counting frees it when dropped.
+
+        Every ``CCTNode.parent`` points back up at a node whose
+        ``children`` point down, so a dropped tree is one big reference
+        cycle that only the cyclic garbage collector can reclaim.  Call
+        this on a tree that is being thrown away (an evicted shadow tree);
+        it is not usable afterwards.  Iterative, like every walk here.
+        """
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            stack.extend(node.children.values())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CCT label={self.label!r} nodes={self.node_count()} "

@@ -322,6 +322,7 @@ class LiveCollector:
             # evicted trees, so replay semantics stay uniform.
             self._write_doc([key for key, _ in dirty])
         for key, entry in victims:
+            entry.cct.release()
             entry.cct = None
             entry.dirty = False
             del self._lru[key]

@@ -20,6 +20,7 @@ independent of whatever the parent process had installed at fork time.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -521,7 +522,16 @@ def run_shards(
 
         pool = get_pool(jobs)
     if pool is None or len(specs) <= 1:
-        results = [run_one_shard(spec) for spec in specs]
+        results = []
+        for spec in specs:
+            if results:
+                # The finished shard's deployment (kernel <-> threads,
+                # servers <-> stages) is cyclic garbage.  The hot path
+                # makes none, so the collector's full passes no longer
+                # come round to free it on their own: free it now, or
+                # every in-process shard stays resident until the end.
+                gc.collect()
+            results.append(run_one_shard(spec))
     else:
         results = pool.run(run_one_shard, specs, submit_order=submit_order)
     wall = time.perf_counter() - start

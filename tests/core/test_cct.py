@@ -223,3 +223,27 @@ def test_deep_tree_persist_encoding_is_iterative():
     rebuilt = CallingContextTree()
     rebuilt.root = rebuilt_root
     assert rebuilt.weight_of(path[:5_000]) == 1.0
+
+
+def test_release_lets_reference_counting_free_the_tree():
+    import gc
+
+    def dropped_tree_garbage(release):
+        cct = CallingContextTree("label")
+        for depth in range(1, 50):
+            cct.record_sample(tuple(f"f{i}" for i in range(depth)), 1.0)
+            cct.record_sample(("main", f"leaf{depth}"), 1.0)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            if release:
+                cct.release()
+            del cct
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    assert dropped_tree_garbage(release=False) > 100
+    assert dropped_tree_garbage(release=True) == 0

@@ -211,3 +211,47 @@ def test_total_demand_accumulates():
     kernel.run()
     assert cpu.total_demand == pytest.approx(1.0)
     assert cpu.busy_time == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Tie order at quantum boundaries.  These pin today's semantics exactly
+# (an arrival that lands on a slice boundary is queued before the
+# preempted job, by the kernel's (time, insertion order) rule), so any
+# later CPU that schedules fewer events must reproduce them.
+# ----------------------------------------------------------------------
+def _tie_run(demands, late_delay):
+    """Jobs of ``demands`` at t=0 and a 0.25 s job arriving at
+    ``late_delay``, on one core with a 0.25 s quantum."""
+    late_demand = 0.25
+    kernel = Kernel()
+    cpu = CPU(kernel, cores=1, quantum=0.25)
+    done = []
+
+    def worker(tag, demand, delay=None):
+        if delay is not None:
+            yield Delay(delay)
+        yield UseCPU(cpu, demand)
+        done.append((tag, kernel.now))
+
+    for index, demand in enumerate(demands):
+        kernel.spawn(worker(f"j{index}", demand))
+    kernel.spawn(worker("late", late_demand, late_delay))
+    kernel.run()
+    assert cpu.busy_time == sum(demands) + late_demand
+    assert cpu.total_demand == sum(demands) + late_demand
+    return done
+
+
+def test_arrival_on_a_quantum_boundary_mid_rotation():
+    done = dict(_tie_run([1.0, 1.0], late_delay=0.5))
+    assert done["late"] == 1.0
+
+
+def test_arrival_on_a_quantum_boundary_at_a_full_turn():
+    done = dict(_tie_run([1.0, 1.0], late_delay=1.0))
+    assert done["late"] == 1.5
+
+
+def test_completion_order_with_a_boundary_arrival():
+    done = _tie_run([0.5, 0.5, 0.5], late_delay=0.5)
+    assert done == [("j1", 1.0), ("late", 1.25), ("j0", 1.5), ("j2", 1.75)]
