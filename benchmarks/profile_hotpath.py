@@ -7,8 +7,8 @@ generation and its host time per transaction (which cProfile spreads
 over whatever frame happened to allocate).  This is the harness the
 hot-path optimisation work is driven from: every per-transaction cost
 attacked in ``docs/performance.md`` (synopsis composites, context
-hashing, thread shell recycling, batched SEDA dequeue, span allocation,
-reference cycles) first showed up in these tables.
+hashing, batched SEDA dequeue, span allocation, reference cycles)
+first showed up in these tables.
 
 Not a pytest benchmark — run it directly::
 

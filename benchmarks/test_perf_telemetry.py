@@ -52,9 +52,7 @@ def _run_mode(mode):
 LIVE_RESIDENT = 12
 
 # Span-ring bound for the live row: the stitcher streams spans rather
-# than reading them back, so retention can be a small ring — which also
-# lets the recorder recycle evicted span shells (the StitchingSink
-# declares ``retains_spans = False``).
+# than reading them back, so retention can be a small ring.
 LIVE_SPAN_RING = 1024
 
 

@@ -9,21 +9,9 @@ responses, or ``None`` when the sending stage does not profile.
 
 from __future__ import annotations
 
-import sys
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.core.synopsis import SYNOPSIS_BYTES, CompositeSynopsis
-
-# Recycled Message shells (see Message.acquire / Message.release).
-_FREELIST_MAX = 512
-_freelist: List["Message"] = []
-# References a shell has at release() time when only the releasing
-# caller still holds it: the caller's local, the call frame's ``self``
-# slot, and getrefcount's own argument.  Anything higher means another
-# handle is live (an endpoint buffer holding a duplicate in flight, a
-# test fixture) and the shell must not be recycled.
-_RELEASE_REFS = 3
-_getrefcount = sys.getrefcount
 
 
 class Message:
@@ -62,46 +50,12 @@ class Message:
         synopsis: Any = None,
         last: bool = True,
     ) -> "Message":
-        """A message shell, recycled from the freelist when one exists.
+        """Build a message; the RPC send path's named constructor.
 
-        Behaviourally identical to the constructor; the send wrappers
-        use it so churn-heavy workloads reuse shells released by
-        :meth:`release` instead of allocating per send.
+        Identical to ``Message(...)``.  It stays a separate entry point
+        because ``perfbench/child.py`` counts message constructions by it.
         """
-        if _freelist:
-            if size < 0:
-                raise ValueError("negative message size")
-            message = _freelist.pop()
-            message.payload = payload
-            message.size = size
-            message.origin = origin
-            message.synopsis = synopsis
-            message.last = last
-            return message
         return cls(payload, size, origin=origin, synopsis=synopsis, last=last)
-
-    def release(self) -> bool:
-        """Declare this message dead; recycle its shell if safe.
-
-        The caller promises not to touch the object afterwards.  The
-        shell only reaches the freelist when no *other* reference is
-        live (refcount veto), so an endpoint buffer still holding a
-        duplicate in flight keeps the shell out of circulation.  Every
-        field is scrubbed before pooling — reuse is field-clean.
-        Returns True when the shell was recycled.
-        """
-        if (
-            _getrefcount(self) == _RELEASE_REFS
-            and len(_freelist) < _FREELIST_MAX
-        ):
-            self.payload = None
-            self.size = 0
-            self.origin = None
-            self.synopsis = None
-            self.last = True
-            _freelist.append(self)
-            return True
-        return False
 
     def context_bytes(self) -> int:
         """Bytes of piggy-backed context information on the wire."""

@@ -279,10 +279,6 @@ def call(
         response = yield from recv_response(thread, from_server, expected=expected)
         if tele is not None and tele.rpc_roundtrip is not None:
             tele.rpc_roundtrip.observe(kernel.now - started)
-        # The request message is done: the server consumed it and the
-        # matching response arrived (release is refcount-vetoed, so an
-        # endpoint still holding a duplicate keeps the shell alive).
-        message.release()
         return response
     for attempt in range(retry.retries + 1):
         if attempt:
@@ -296,7 +292,6 @@ def call(
         if response is not TIMED_OUT:
             if tele is not None and tele.rpc_roundtrip is not None:
                 tele.rpc_roundtrip.observe(kernel.now - started)
-            message.release()
             return response
     stage = _stage(thread)
     if stage is not None and expected is not None:

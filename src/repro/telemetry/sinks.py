@@ -43,13 +43,6 @@ class TelemetrySink:
     #: :meth:`on_profile_event` (samples/synopses/crashes/crosstalk).
     wants_profile_events = False
 
-    #: Whether the sink may keep a reference to a span after ``on_span``
-    #: returns.  True (the conservative default) disables the recorder's
-    #: span-shell pool; sinks that only *serialize or count* each span
-    #: set this to False so a bounded recorder can recycle evicted
-    #: shells (a per-span refcount veto still guards against stragglers).
-    retains_spans = True
-
     def on_span(self, span: Span) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -112,9 +105,6 @@ class JsonLinesSink(TelemetrySink):
         # file flushed and closed here, not at interpreter exit
     """
 
-    # Each span is serialized inside on_span; nothing is kept.
-    retains_spans = False
-
     def __init__(self, path_or_file: Any):
         if hasattr(path_or_file, "write"):
             self._file = path_or_file
@@ -174,8 +164,6 @@ class StitchingSink(TelemetrySink):
     """
 
     wants_profile_events = True
-    # The collector inspects each span's category and drops it.
-    retains_spans = False
 
     def __init__(self, collector: Any):
         self.collector = collector

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.channels import Connection
+from repro.channels.message import Message
 from repro.channels.rpc import call, recv_request, send_response
 from repro.core.context import SynopsisRef, TransactionContext
 from repro.core.profiler import ProfilerMode, StageRuntime
@@ -114,3 +115,10 @@ def test_concurrent_outstanding_requests_switch_back_correctly():
     kernel.run(until=1.0)
     assert log["after_resp2"] == TransactionContext(("tx2",))
     assert log["after_resp1"] == TransactionContext(("tx1",))
+
+
+def test_message_constructors_reject_negative_size():
+    with pytest.raises(ValueError):
+        Message("x", size=-1)
+    with pytest.raises(ValueError):
+        Message.acquire("x", size=-1)

@@ -1,5 +1,7 @@
 """Unit tests for the simulation kernel: clock, scheduling, threads."""
 
+import weakref
+
 import pytest
 
 from repro.sim import Delay, Exit, Join, Kernel, Spawn
@@ -361,6 +363,81 @@ def test_join_works_after_target_reaped():
     kernel.spawn(parent(target))
     kernel.run()
     assert results == ["done"]
+
+
+class _Result:
+    """A fresh, weakly referenceable thread return value."""
+
+
+def test_finished_threads_do_not_pin_their_results():
+    """With no handle left, a finished thread and its result are freed."""
+    kernel = Kernel()
+    refs = []
+
+    def worker():
+        result = _Result()
+        refs.append(weakref.ref(result))
+        yield Delay(0.1)
+        return result
+
+    for _ in range(3):
+        kernel.spawn(worker())
+    kernel.run()
+    assert len(refs) == 3
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_finished_thread_handle_survives_later_spawns():
+    kernel = Kernel()
+
+    def worker(value):
+        yield Delay(0.0)
+        return value
+
+    held = kernel.spawn(worker("mine"), name="held")
+    kernel.run()
+    tid = held.tid
+    for index in range(2000):
+        kernel.spawn(worker(index))
+    kernel.run()
+    assert held.alive is False
+    assert held.tid == tid
+    assert held.name == "held"
+    assert held.result == "mine"
+
+
+def test_failed_thread_keeps_its_failure():
+    kernel = Kernel()
+
+    def crasher():
+        yield Delay(0.0)
+        raise RuntimeError("boom")
+
+    def worker():
+        yield Delay(0.0)
+
+    doomed = kernel.spawn(crasher())
+    with pytest.raises(RuntimeError):
+        kernel.run()
+    for _ in range(100):
+        kernel.spawn(worker())
+    kernel.run()
+    assert doomed.alive is False
+    assert isinstance(doomed.failure, RuntimeError)
+    assert str(doomed.failure) == "boom"
+
+
+def test_concurrent_threads_are_distinct():
+    kernel = Kernel()
+
+    def sleeper():
+        yield Delay(10.0)
+
+    live = [kernel.spawn(sleeper(), name=f"live-{i}") for i in range(4)]
+    assert len({id(t) for t in live}) == 4
+    assert len({t.tid for t in live}) == 4
+    assert all(t.alive for t in live)
+    kernel.run()
 
 
 def test_cancelled_events_are_purged_lazily():

@@ -101,6 +101,43 @@ def test_ring_buffer_drops_oldest_but_counts_everything():
     assert rec.completed == 5
 
 
+def test_span_handle_outlives_ring_eviction():
+    rec = SpanRecorder(capacity=2)
+    held = rec.instant("held", "test", "stage", 0.0, attrs={"k": "v"})
+    for i in range(1, 5):
+        rec.instant(f"ev-{i}", "test", "stage", float(i))
+    assert all(span is not held for span in rec.spans)
+    assert held.name == "held"
+    assert held.attrs == {"k": "v"}
+    assert held.start == 0.0
+
+
+def test_jsonlines_sink_sees_every_span_past_a_small_ring(tmp_path):
+    path = tmp_path / "spans.jsonl"
+    rec = SpanRecorder(capacity=4)
+    rec.add_sink(JsonLinesSink(str(path)))
+    for i in range(64):
+        rec.instant(f"ev-{i}", "test", "stage", float(i))
+    rec.close_sinks()
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row["name"] for row in lines] == [f"ev-{i}" for i in range(64)]
+    span_ids = [int(row["spanId"], 16) for row in lines]
+    assert span_ids == sorted(span_ids)
+    assert len(set(span_ids)) == 64
+    assert rec.dropped == 60
+
+
+def test_collecting_sink_keeps_intact_distinct_spans():
+    rec = SpanRecorder(capacity=2)
+    keeper = CollectingSink()
+    rec.add_sink(keeper)
+    for i in range(10):
+        rec.instant(f"ev-{i}", "test", "stage", float(i))
+    assert [span.name for span in keeper.spans] == [f"ev-{i}" for i in range(10)]
+    assert [span.start for span in keeper.spans] == [float(i) for i in range(10)]
+    assert len({id(span) for span in keeper.spans}) == 10
+
+
 def test_install_modes_and_scoped_enable():
     assert telemetry.active() is None
     with telemetry.enabled("spans") as tele:
