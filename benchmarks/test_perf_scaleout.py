@@ -44,11 +44,12 @@ from repro.core.persist import dump_size
 from repro.core.stitch import stitch_profiles
 from repro.parallel import (
     canonical_profile_bytes,
+    default_group_size,
     get_pool,
-    hierarchical_stitch,
     plan_shards,
     run_shards,
     shutdown_pools,
+    stitch_groups,
 )
 
 SMOKE = os.environ.get("PERF_SMOKE") == "1"
@@ -267,7 +268,10 @@ def test_scaleout_pool_reuse(benchmark, tmp_path):
 
 
 def test_scaleout_reduce_tree(benchmark, tmp_path):
-    """Hierarchical shard→group→global vs the flat reduce, same spool."""
+    """Hierarchical shard→group→global vs the flat reduce, same spool.
+
+    Both run at jobs=1; the tree's ≈√N group size is forced explicitly,
+    since the derived shape at jobs=1 is the one-group fold."""
 
     def experiment():
         plan = plan_shards(
@@ -286,7 +290,9 @@ def test_scaleout_reduce_tree(benchmark, tmp_path):
         flat_wall = time.perf_counter() - start
         stats = {}
         start = time.perf_counter()
-        tree = hierarchical_stitch(groups, group_size=0, stats=stats)
+        tree = stitch_groups(
+            groups, group_size=default_group_size(len(groups)), stats=stats
+        )
         tree_wall = time.perf_counter() - start
         return flat, flat_wall, tree, tree_wall, stats
 
@@ -349,7 +355,7 @@ def test_scaleout_openloop_million(benchmark, tmp_path):
         run = run_shards(plan, jobs=jobs)
         run_wall = time.perf_counter() - start
         start = time.perf_counter()
-        profile = run.stitch(jobs=jobs, group_size=0)
+        profile = run.stitch(jobs=jobs)
         stitch_wall = time.perf_counter() - start
         return run, run_wall, profile, stitch_wall
 

@@ -471,37 +471,40 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
     from repro.analysis import render_flow_graph, render_stitched_profile
     from repro.core.stitch import flow_graph, stitch_profiles
-    from repro.parallel import parallel_load, stitch_spool
+    from repro.parallel import WorkerError, parallel_load, stitch_spool
 
     # Non-strict by default: a dump set missing a tier (it crashed, or
     # its dump was never collected) still yields a partial profile with
     # an explicit completeness ratio instead of an abort.
     strict = bool(getattr(args, "strict", False))
-    if len(args.profiles) == 1 and os.path.isdir(args.profiles[0]):
-        # A spool directory written by a sharded run: map-reduce the
-        # per-shard groups from its manifest — flat, or through the
-        # hierarchical reduce tree when --group-size is given (the
-        # output bytes are identical either way).
-        profile = stitch_spool(
-            args.profiles[0],
-            jobs=args.jobs,
-            strict=strict,
-            group_size=args.group_size,
-        )
-        if args.digest:
-            return _print_digest(profile)
-        print(render_stitched_profile(profile, min_share=args.min_share))
-        print(f"\ncompleteness {100.0 * profile.completeness:.2f}%")
-        return 0
-    stages = parallel_load(args.profiles, jobs=args.jobs)
-    resolve_cache = {}
-    profile = stitch_profiles(stages, cache=resolve_cache, strict=strict)
+    try:
+        if len(args.profiles) == 1 and os.path.isdir(args.profiles[0]):
+            # A spool directory written by a sharded run: reduce the
+            # per-shard groups from its manifest; --jobs picks the fold
+            # shape, never the bytes.
+            profile = stitch_spool(
+                args.profiles[0], jobs=args.jobs, strict=strict
+            )
+            stages = None
+        else:
+            stages = parallel_load(args.profiles, jobs=args.jobs)
+            resolve_cache = {}
+            profile = stitch_profiles(
+                stages, cache=resolve_cache, strict=strict
+            )
+    except (OSError, ValueError, WorkerError) as error:
+        # A worker's error carries its remote traceback after line one.
+        print(f"error: {str(error).splitlines()[0]}", file=sys.stderr)
+        return 2
     if args.digest:
         return _print_digest(profile)
     print(render_stitched_profile(profile, min_share=args.min_share))
     print(f"\ncompleteness {100.0 * profile.completeness:.2f}%")
-    print()
-    print(render_flow_graph(flow_graph(stages, cache=resolve_cache, strict=strict)))
+    if stages is not None:
+        print()
+        print(render_flow_graph(
+            flow_graph(stages, cache=resolve_cache, strict=strict)
+        ))
     return 0
 
 
@@ -567,10 +570,10 @@ def cmd_live_report(args: argparse.Namespace) -> int:
     A single directory recovers one collector (bounded loss: anything
     newer than its last checkpoint is gone, by design) and stitches it;
     a directory holding ``shard-NNNN/`` subdirectories recovers every
-    shard and folds the per-shard profiles through the same exact
-    accumulator the sharded post-mortem reduce uses, with the same
-    ``@shardN`` qualification of unresolved refs — so the digest
-    matches ``stitch --digest`` over the equivalent spool.
+    shard and folds the per-shard profiles with
+    :func:`repro.parallel.reduce.fold_shards`, the fold the sharded
+    post-mortem reduce uses — so the digest matches ``stitch --digest``
+    over the equivalent spool.
     """
     import os
 
@@ -579,43 +582,33 @@ def cmd_live_report(args: argparse.Namespace) -> int:
         render_live_top,
         render_stitched_profile,
     )
-    from repro.live import LiveCollector, list_checkpoints
+    from repro.live import LiveCollector, list_checkpoints, list_shard_dirs
 
     directory = args.directory
     if not os.path.isdir(directory):
         print(f"error: {directory!r} is not a directory", file=sys.stderr)
         return 2
     strict = bool(args.strict)
-    shard_names = sorted(
-        name
-        for name in os.listdir(directory)
-        if name.startswith("shard-")
-        and os.path.isdir(os.path.join(directory, name))
-    )
-    if shard_names:
-        from repro.parallel.reduce import ProfileAccumulator
-        from repro.parallel.stitching import _tag_unresolved
+    shard_dirs = list_shard_dirs(directory)
+    if shard_dirs:
+        from repro.parallel.reduce import fold_shards
 
-        accumulator = ProfileAccumulator()
+        shard_profiles = []
         checkpoint_files = 0
-        for name in shard_names:
-            shard_dir = os.path.join(directory, name)
-            index = int(name.split("-", 1)[1])
+        for index, shard_dir in shard_dirs:
             checkpoint_files += len(list_checkpoints(shard_dir))
             collector = LiveCollector.recover(shard_dir)
-            shard_profile = (
+            shard_profiles.append((
+                index,
                 collector.compact(strict=strict)
                 if args.compact
-                else collector.stitched_profile(strict=strict)
-            )
-            accumulator.add_profile(
-                _tag_unresolved(shard_profile, f"@shard{index}")
-            )
-        profile = accumulator.finalize()
+                else collector.stitched_profile(strict=strict),
+            ))
+        profile = fold_shards(shard_profiles)
         if args.digest:
             return _print_digest(profile)
         print(
-            f"recovered {len(shard_names)} shard collectors "
+            f"recovered {len(shard_dirs)} shard collectors "
             f"({checkpoint_files} checkpoint files)"
         )
         print()
@@ -1027,15 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="abort on unresolvable synopses instead of emitting a "
         "partial profile",
-    )
-    p.add_argument(
-        "--group-size",
-        type=int,
-        default=None,
-        metavar="G",
-        help="spool dirs only: hierarchical shard→group→global reduce "
-        "with G shards per group (0 = ~sqrt(N)); bytes identical to "
-        "the flat reduce",
     )
     p.add_argument(
         "--digest",

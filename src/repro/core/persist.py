@@ -710,21 +710,22 @@ def _live_crosstalk(collector) -> CrosstalkTable:
 
 
 def _load_live_run(directory: str, strict: bool) -> RunProfile:
-    """Recover live-collector checkpoints (single or ``shard-NNNN/``)."""
-    import os
+    """Recover live-collector checkpoints (single or ``shard-NNNN/``).
 
-    from repro.live import LiveCollector
+    A single collector directory is folded as a lone shard, which
+    :func:`repro.parallel.reduce.fold_shards` returns untagged.
+    """
+    from repro.live import LiveCollector, list_shard_dirs
+    from repro.parallel.reduce import fold_shards
 
-    shard_names = sorted(
-        name
-        for name in os.listdir(directory)
-        if name.startswith("shard-")
-        and os.path.isdir(os.path.join(directory, name))
-    )
     crosstalk: CrosstalkTable = {}
-
-    def fold(extra: CrosstalkTable) -> None:
-        for key, (count, total, peak) in extra.items():
+    shard_profiles = []
+    for index, shard_dir in list_shard_dirs(directory) or [(0, directory)]:
+        collector = LiveCollector.recover(shard_dir)
+        shard_profiles.append(
+            (index, collector.stitched_profile(strict=strict))
+        )
+        for key, (count, total, peak) in _live_crosstalk(collector).items():
             have = crosstalk.get(key)
             if have is None:
                 crosstalk[key] = (count, total, peak)
@@ -734,30 +735,9 @@ def _load_live_run(directory: str, strict: bool) -> RunProfile:
                     have[1] + total,
                     max(have[2], peak),
                 )
-
-    if shard_names:
-        # The same fold as the sharded post-mortem reduce: per-shard
-        # profiles through the exact accumulator, UnresolvedRefs
-        # qualified with their shard so they can never spuriously merge.
-        from repro.parallel.reduce import ProfileAccumulator
-        from repro.parallel.stitching import _tag_unresolved
-
-        accumulator = ProfileAccumulator()
-        for name in shard_names:
-            collector = LiveCollector.recover(os.path.join(directory, name))
-            index = int(name.split("-", 1)[1])
-            accumulator.add_profile(
-                _tag_unresolved(
-                    collector.stitched_profile(strict=strict), f"@shard{index}"
-                )
-            )
-            fold(_live_crosstalk(collector))
-        profile = accumulator.finalize()
-    else:
-        collector = LiveCollector.recover(directory)
-        profile = collector.stitched_profile(strict=strict)
-        fold(_live_crosstalk(collector))
-    return RunProfile(directory, "live", profile, [], crosstalk)
+    return RunProfile(
+        directory, "live", fold_shards(shard_profiles), [], crosstalk
+    )
 
 
 def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
@@ -805,14 +785,9 @@ def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
             return RunProfile(
                 source, "spool", profile, stages, crosstalk_table(stages)
             )
-        from repro.live import list_checkpoints
+        from repro.live import list_checkpoints, list_shard_dirs
 
-        has_shards = any(
-            name.startswith("shard-")
-            and os.path.isdir(os.path.join(source, name))
-            for name in os.listdir(source)
-        )
-        if has_shards or list_checkpoints(source):
+        if list_shard_dirs(source) or list_checkpoints(source):
             return _load_live_run(source, strict)
         files = _dump_files_in(source)
         if not files:
@@ -831,8 +806,8 @@ def load_and_stitch(paths: List[str], jobs: int = 1, strict: bool = True):
     """The presentation phase: load stage dumps and stitch end to end.
 
     ``jobs > 1`` decodes the dumps in a process pool before the serial
-    resolve+merge (see :mod:`repro.parallel.stitching` for the sharded
-    map-reduce variant).
+    resolve+merge (see :mod:`repro.parallel.reduce` for the sharded
+    reduce).
     """
     from repro.core.stitch import stitch_profiles
 

@@ -180,10 +180,10 @@ class StitchedProfile:
 
         Entries for the same ``(stage, resolved context)`` pair merge
         their CCTs (the iterative merge from :mod:`repro.core.cct`);
-        resolution tallies are summed.  This is the deterministic reduce
-        of the parallel presentation phase: folding shard profiles in
-        shard-index order yields output independent of which worker
-        produced which profile when.
+        resolution tallies are summed.  Weights add as plain floats, so
+        the grouping can show in the last ulp; the sharded reduce folds
+        through the exact accumulator in :mod:`repro.parallel.reduce`
+        instead.
         """
         for (stage, context), cct in other.entries.items():
             self.add(stage, context, cct)

@@ -16,6 +16,7 @@ from repro.live.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     list_checkpoints,
+    list_shard_dirs,
     read_checkpoint,
     write_checkpoint,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "LiveCollector",
     "attach_collector",
     "list_checkpoints",
+    "list_shard_dirs",
     "read_checkpoint",
     "write_checkpoint",
 ]

@@ -39,7 +39,7 @@ does not exist.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cct import CCTNode, CallingContextTree
 from repro.core.persist import (
@@ -75,6 +75,17 @@ def list_checkpoints(directory: str) -> List[str]:
     ]
     names.sort()
     return [os.path.join(directory, name) for name in names]
+
+
+def list_shard_dirs(directory: str) -> List[Tuple[int, str]]:
+    """``(index, path)`` of the ``shard-NNNN/`` collector directories a
+    sharded run leaves in ``directory``, in shard order."""
+    return sorted(
+        (int(name.split("-", 1)[1]), os.path.join(directory, name))
+        for name in os.listdir(directory)
+        if name.startswith("shard-")
+        and os.path.isdir(os.path.join(directory, name))
+    )
 
 
 def write_checkpoint(directory: str, seq: int, document: Dict[str, Any]) -> str:

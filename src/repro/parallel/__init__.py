@@ -16,14 +16,15 @@ before one deterministic merge.  This package exploits both:
 - :mod:`repro.parallel.runner` executes the shards across that pool,
   spooling per-stage profile dumps and returning plain-data summaries
   that merge post-hoc (including telemetry metrics);
-- :mod:`repro.parallel.stitching` is the map-reduce presentation
-  phase: workers load and pre-resolve dump groups in parallel, an
-  exact shard-ordered reduce merges the stitched profiles, so output
-  is byte-identical no matter how the work was scheduled;
-- :mod:`repro.parallel.reduce` is the hierarchical
-  shard → group → global reduce tree, byte-identical to the flat
-  reduce at every group size thanks to error-free (Shewchuk) weight
-  accumulation.
+- :mod:`repro.parallel.reduce` is the one profile reduce,
+  :func:`stitch_groups`: each shard's dumps are stitched on their own
+  and the shard profiles folded in one in-process group (``jobs=1``)
+  or through a shard → group → global tree on the pool (``jobs > 1``),
+  byte-identical either way thanks to error-free (Shewchuk) weight
+  accumulation;
+- :mod:`repro.parallel.stitching` reads spool manifests into dump
+  groups, loads flat dump lists in parallel, and serialises merged
+  profiles canonically for byte comparison.
 
 See ``docs/performance.md`` for the sharding model and determinism
 guarantees.
@@ -47,13 +48,12 @@ from repro.parallel.scheduler import (
 from repro.parallel.reduce import (
     ProfileAccumulator,
     default_group_size,
-    hierarchical_stitch,
     plan_groups,
+    stitch_groups,
 )
 from repro.parallel.stitching import (
     canonical_profile_bytes,
     parallel_load,
-    parallel_stitch,
     spool_groups,
     stitch_spool,
 )
@@ -71,14 +71,13 @@ __all__ = [
     "derive_shard_seed",
     "effective_jobs",
     "get_pool",
-    "hierarchical_stitch",
     "parallel_load",
-    "parallel_stitch",
     "partition_clients",
     "plan_groups",
     "plan_shards",
     "run_shards",
     "shutdown_pools",
     "spool_groups",
+    "stitch_groups",
     "stitch_spool",
 ]

@@ -1,15 +1,15 @@
-"""Hierarchical two-level profile reduce: shard → group → global.
+"""The profile reduce: every merge of per-shard profiles goes here.
 
-The flat map-reduce presentation phase stitches each shard in a worker
-but folds *every* shard profile in the parent, so parent-side merge
-cost grows linearly with the shard count.  At cluster scale that fold
-becomes the new straggler.  The two-level reduce keeps it sublinear:
-shards are partitioned into contiguous *groups*, each group is merged
-inside a worker (which also did the expensive load+stitch), and the
-parent only folds the G ≈ √N group artifacts, streaming them frame by
-frame from the spool instead of loading whole files.
+:func:`stitch_groups` stitches each shard's stage dumps on their own
+(a shard is a self-contained resolution universe) and folds the shard
+profiles into one.  At ``jobs <= 1`` the fold is one in-process group;
+at ``jobs > 1`` shards are partitioned into contiguous *groups* of
+``N // jobs`` shards — at least ``min(jobs, N)`` of them, so every
+worker gets one — each merged inside a pool worker (which also did the
+expensive load+stitch), and the parent streams the group artifacts
+back frame by frame.
 
-**Exactness is what makes the tree legal.**  Shard profiles share
+**Exactness is what makes the shape free.**  Shard profiles share
 fully-resolved contexts (that is the point of cross-shard
 aggregation), so reducing means adding floats — and float addition is
 not associative: ``(a+b)+c`` and ``a+(b+c)`` can differ in the last
@@ -21,9 +21,8 @@ list of non-overlapping floats whose *exact* real sum equals the exact
 sum of every contribution, and is rounded exactly once, at
 :meth:`ProfileAccumulator.finalize`, with ``math.fsum``.  Since the
 partials represent the exact sum regardless of how contributions were
-grouped, **every grouping — including the flat one — produces
-byte-identical output** (asserted for every group size in
-``tests/parallel/test_reduce.py``).
+grouped, **every grouping produces byte-identical output** (asserted
+for every group size in ``tests/parallel/test_reduce.py``).
 
 Group artifacts are framed like v2 profile dumps (magic ``WDR2``): one
 tables frame (interned strings, resolution tallies, entry count)
@@ -37,25 +36,26 @@ import math
 import os
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cct import CallingContextTree
-from repro.core.context import TransactionContext
+from repro.core.context import TransactionContext, UnresolvedRef
 from repro.core.persist import (
     _Interner,
     _v2_decode_context,
     _v2_encode_context,
+    load_stage,
     read_frame,
     write_frame,
 )
-from repro.core.stitch import StitchedProfile
+from repro.core.stitch import StitchedProfile, stitch_profiles
 
 #: Frame magic for reduce-tree group artifacts (header layout shared
 #: with v2 profile dumps: magic, u32 version, u32 payload length).
 REDUCE_MAGIC = b"WDR2"
 REDUCE_VERSION = 1
 
-#: Group artifact filename pattern inside a spool's ``reduce/`` dir.
+#: Group artifact filename pattern inside the reduce's temporary dir.
 GROUP_FILE = "group-{index:04d}.wdr"
 
 
@@ -241,7 +241,57 @@ class ProfileAccumulator:
 
 
 # ----------------------------------------------------------------------
-# The reduce tree
+# Shard tagging
+# ----------------------------------------------------------------------
+def tag_shard(profile: StitchedProfile, index: int) -> StitchedProfile:
+    """Qualify UnresolvedRef origins with ``@shard{index}``.
+
+    Synopsis values are only unique *within* a shard's stages, so
+    untagged placeholders from different shards could collide and merge
+    weights of distinct transactions.  Fully resolved contexts contain
+    no refs and merge by value, as cross-shard aggregation wants.
+    """
+    if not any(
+        isinstance(element, UnresolvedRef)
+        for _, context in profile.entries
+        for element in context
+    ):
+        return profile
+    tag = f"@shard{index}"
+    tagged = StitchedProfile()
+    for (stage, context), cct in profile.entries.items():
+        elements = [
+            UnresolvedRef(f"{element.origin}{tag}", element.value)
+            if isinstance(element, UnresolvedRef)
+            else element
+            for element in context
+        ]
+        tagged.add(stage, TransactionContext(elements), cct)
+    tagged.synopsis_refs = profile.synopsis_refs
+    tagged.unresolved_refs = profile.unresolved_refs
+    return tagged
+
+
+def fold_shards(
+    pairs: Iterable[Tuple[int, StitchedProfile]]
+) -> StitchedProfile:
+    """Merge ``(shard_index, profile)`` pairs into one profile.
+
+    A lone shard is a single resolution universe and comes back as is;
+    several shards are tagged (:func:`tag_shard`) and folded through
+    the exact accumulator.
+    """
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        return pairs[0][1]
+    accumulator = ProfileAccumulator()
+    for index, profile in pairs:
+        accumulator.add_profile(tag_shard(profile, index))
+    return accumulator.finalize()
+
+
+# ----------------------------------------------------------------------
+# The reduce
 # ----------------------------------------------------------------------
 def plan_groups(count: int, group_size: int) -> List[List[int]]:
     """Contiguous shard-index groups: ``[[0..g-1], [g..2g-1], ...]``."""
@@ -254,92 +304,90 @@ def plan_groups(count: int, group_size: int) -> List[List[int]]:
 
 
 def default_group_size(count: int) -> int:
-    """≈√N groups of ≈√N shards keeps both reduce levels balanced."""
+    """≈√N groups of ≈√N shards, the balanced two-level tree; not the
+    derived shape, which follows ``jobs`` (see :func:`stitch_groups`)."""
     return max(2, math.ceil(math.sqrt(count)))
 
 
-def reduce_group_task(task) -> Tuple[str, float, int]:
+def _stitch_group(paths: Sequence[str], strict: bool) -> StitchedProfile:
+    """Load and stitch one shard's stage dumps."""
+    return stitch_profiles([load_stage(path) for path in paths], strict=strict)
+
+
+def reduce_group_task(task) -> Tuple[str, float]:
     """Worker: stitch one group's shards, merge them, spool the artifact.
 
     ``task`` is ``(shard_indices, dump_groups, strict, out_path)``;
-    returns ``(out_path, wall_seconds, entry_count)``.  Top-level so the
+    returns ``(out_path, wall_seconds)``.  Top-level so the
     work-stealing pool can ship it under any start method.
     """
-    from repro.parallel.stitching import _stitch_group, _tag_unresolved
-
     shard_indices, dump_groups, strict, out_path = task
     start = time.perf_counter()
     accumulator = ProfileAccumulator()
     for shard_index, paths in zip(shard_indices, dump_groups):
-        profile = _tag_unresolved(
-            _stitch_group((paths, strict)), f"@shard{shard_index}"
+        accumulator.add_profile(
+            tag_shard(_stitch_group(paths, strict), shard_index)
         )
-        accumulator.add_profile(profile)
     accumulator.write(out_path)
-    return out_path, time.perf_counter() - start, len(accumulator.entries)
+    return out_path, time.perf_counter() - start
 
 
-def hierarchical_stitch(
+def stitch_groups(
     groups: Sequence[Sequence[str]],
     jobs: int = 1,
-    group_size: int = 0,
     strict: bool = True,
-    reduce_dir: Optional[str] = None,
-    pool=None,
+    group_size: int = 0,
     stats: Optional[Dict[str, Any]] = None,
 ) -> StitchedProfile:
-    """Two-level reduce over per-shard dump groups.
+    """Stitch per-shard dump groups and merge them into one profile.
 
-    Byte-identical to :func:`repro.parallel.stitching.parallel_stitch`
-    over the same groups, for every ``group_size`` (see module
-    docstring).  ``group_size=0`` picks ≈√N.  ``reduce_dir`` keeps the
-    group artifacts (default: a temporary directory); pass ``stats`` to
-    receive group walls, artifact bytes and the parent fold time.
+    ``group_size=0`` derives the fold shape from ``jobs``: one
+    in-process group with no artifact at ``jobs <= 1``, else groups of
+    ``N // jobs`` shards (at least ``min(jobs, N)`` groups) merged on
+    the pool and streamed back from a temporary directory.  A positive
+    ``group_size`` forces the shape; every shape yields the same bytes.
+    ``stats`` receives the shape that ran: group size and count,
+    per-group walls and artifact bytes (0: no artifact), and the parent
+    fold time.
     """
     groups = [list(group) for group in groups]
-    if len(groups) <= 1:
-        from repro.parallel.stitching import parallel_stitch
-
-        return parallel_stitch(groups, jobs=jobs, strict=strict)
     if not group_size:
-        group_size = default_group_size(len(groups))
+        group_size = max(1, len(groups) // jobs if jobs > 1 else len(groups))
     slices = plan_groups(len(groups), group_size)
-    scratch = None
-    if reduce_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="whodunit-reduce-")
-        reduce_dir = scratch.name
-    os.makedirs(reduce_dir, exist_ok=True)
-    try:
-        tasks = []
-        for group_index, shard_indices in enumerate(slices):
-            tasks.append((
-                shard_indices,
-                [groups[index] for index in shard_indices],
-                strict,
-                os.path.join(reduce_dir, GROUP_FILE.format(index=group_index)),
-            ))
-        if pool is None and jobs > 1 and len(tasks) > 1:
-            from repro.parallel.scheduler import get_pool
-
-            pool = get_pool(jobs)
-        if pool is None or len(tasks) <= 1:
-            results = [reduce_group_task(task) for task in tasks]
-        else:
-            results = pool.run(reduce_group_task, tasks)
+    start = time.perf_counter()
+    if len(slices) <= 1:
+        profiles = [_stitch_group(group, strict) for group in groups]
+        walls, sizes = [time.perf_counter() - start], [0]
         fold_start = time.perf_counter()
-        accumulator = ProfileAccumulator()
-        for path, _, _ in results:  # task order == group-index order
-            accumulator.absorb_file(path)
-        merged = accumulator.finalize()
-        if stats is not None:
-            stats["group_size"] = group_size
-            stats["groups"] = len(slices)
-            stats["group_walls"] = [wall for _, wall, _ in results]
-            stats["group_bytes"] = [
-                os.path.getsize(path) for path, _, _ in results
+        merged = fold_shards(enumerate(profiles))
+        fold_s = time.perf_counter() - fold_start
+    else:
+        with tempfile.TemporaryDirectory(prefix="whodunit-reduce-") as scratch:
+            tasks = [
+                (indices, [groups[index] for index in indices], strict,
+                 os.path.join(scratch, GROUP_FILE.format(index=number)))
+                for number, indices in enumerate(slices)
             ]
-            stats["parent_fold_s"] = time.perf_counter() - fold_start
-        return merged
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+            if jobs > 1:
+                from repro.parallel.scheduler import get_pool
+
+                results = get_pool(jobs).run(reduce_group_task, tasks)
+            else:
+                results = [reduce_group_task(task) for task in tasks]
+            walls = [wall for _, wall in results]
+            sizes = [os.path.getsize(path) for path, _ in results]
+            fold_start = time.perf_counter()
+            accumulator = ProfileAccumulator()
+            for path, _ in results:  # task order == group-index order
+                accumulator.absorb_file(path)
+            merged = accumulator.finalize()
+            fold_s = time.perf_counter() - fold_start
+    if stats is not None:
+        stats.update(
+            group_size=group_size,
+            groups=len(slices),
+            group_walls=walls,
+            group_bytes=sizes,
+            parent_fold_s=fold_s,
+        )
+    return merged

@@ -444,26 +444,13 @@ class ShardedRun:
         return max(walls) / mean if mean else 1.0
 
     # -- presentation phase --------------------------------------------
-    def stitch(self, jobs: int = 1, strict: bool = True,
-               group_size: Optional[int] = None, stats=None):
-        """Map-reduce the spooled dumps into one merged profile.
+    def stitch(self, jobs: int = 1, strict: bool = True):
+        """Reduce the spooled dumps into one merged profile; the fold
+        shape follows ``jobs`` (:func:`repro.parallel.reduce.
+        stitch_groups`) and never changes the bytes."""
+        from repro.parallel.reduce import stitch_groups
 
-        ``group_size=None`` is the flat reduce; any integer (0 for the
-        ≈√N default) uses the hierarchical shard→group→global tree.
-        Output bytes are identical either way.
-        """
-        if group_size is None:
-            from repro.parallel.stitching import parallel_stitch
-
-            return parallel_stitch(
-                self.dump_groups(), jobs=jobs, strict=strict
-            )
-        from repro.parallel.reduce import hierarchical_stitch
-
-        return hierarchical_stitch(
-            self.dump_groups(), jobs=jobs, group_size=group_size,
-            strict=strict, stats=stats,
-        )
+        return stitch_groups(self.dump_groups(), jobs=jobs, strict=strict)
 
 
 def _write_manifest(plan: ShardPlan, results: List[ShardResult]) -> Optional[str]:
@@ -499,7 +486,6 @@ def run_shards(
     plan: ShardPlan,
     jobs: int = 1,
     submit_order: Optional[List[int]] = None,
-    pool=None,
 ) -> ShardedRun:
     """Execute every shard of ``plan`` with up to ``jobs`` workers.
 
@@ -517,11 +503,7 @@ def run_shards(
         if spec.spool_dir:
             os.makedirs(spec.spool_dir, exist_ok=True)
     start = time.perf_counter()
-    if pool is None and jobs > 1 and len(specs) > 1:
-        from repro.parallel.scheduler import get_pool
-
-        pool = get_pool(jobs)
-    if pool is None or len(specs) <= 1:
+    if jobs <= 1 or len(specs) <= 1:
         results = []
         for spec in specs:
             if results:
@@ -533,7 +515,11 @@ def run_shards(
                 gc.collect()
             results.append(run_one_shard(spec))
     else:
-        results = pool.run(run_one_shard, specs, submit_order=submit_order)
+        from repro.parallel.scheduler import get_pool
+
+        results = get_pool(jobs).run(
+            run_one_shard, specs, submit_order=submit_order
+        )
     wall = time.perf_counter() - start
     _write_manifest(plan, results)
     return ShardedRun(plan, results, wall, jobs)

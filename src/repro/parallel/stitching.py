@@ -1,14 +1,13 @@
-"""The parallel presentation phase: map-reduce profile stitching.
+"""The presentation phase's inputs and output: dumps, spools, bytes.
 
-The map step loads one *group* of stage dumps (one shard's tiers — a
-self-contained resolution universe) and stitches it in a worker from
-the shared work-stealing pool (:mod:`repro.parallel.scheduler`); the
-reduce folds the per-group profiles through the exact accumulator from
-:mod:`repro.parallel.reduce`, so the merged profile is a pure function
-of the dump set — independent of worker count, scheduling, completion
-order, *and* reduce-tree shape (the hierarchical shard→group→global
-reduce produces byte-identical output).  The determinism proof in the
-scale-out benchmark serialises the merged profile with
+A spool directory written by a sharded run holds one group of stage
+dumps per shard (one shard's tiers — a self-contained resolution
+universe) and a manifest naming them.  :func:`spool_groups` reads that
+manifest and :func:`stitch_spool` hands the groups to the one reduce,
+:func:`repro.parallel.reduce.stitch_groups`, whose merged profile is a
+pure function of the dump set — independent of worker count,
+scheduling, completion order and fold shape.  The determinism proof in
+the scale-out benchmark serialises the merged profile with
 :func:`canonical_profile_bytes` and compares runs byte-for-byte.
 
 For a flat list of dumps that resolve against each other (the classic
@@ -21,41 +20,23 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.core.context import TransactionContext, UnresolvedRef
-from repro.core.stitch import StitchedProfile, stitch_profiles
+from repro.core.stitch import StitchedProfile
+from repro.parallel.reduce import stitch_groups
 
 #: Kept in sync with repro.parallel.runner.MANIFEST_NAME (no import to
 #: keep worker pickling light).
 MANIFEST_NAME = "manifest.json"
 
 
-def _pool(jobs: int):
-    """The shared session pool (persistent; startup paid once)."""
-    from repro.parallel.scheduler import get_pool
-
-    return get_pool(jobs)
-
-
-# ----------------------------------------------------------------------
-# Map workers (top-level for pickling)
-# ----------------------------------------------------------------------
 def _load_one(path: str):
+    """Pool worker (top-level for pickling): decode one dump."""
     from repro.core.persist import load_stage
 
     return load_stage(path)
 
 
-def _stitch_group(task: Tuple[Sequence[str], bool]) -> StitchedProfile:
-    paths, strict = task
-    stages = [_load_one(path) for path in paths]
-    return stitch_profiles(stages, strict=strict)
-
-
-# ----------------------------------------------------------------------
-# Public API
-# ----------------------------------------------------------------------
 def parallel_load(paths: Sequence[str], jobs: int = 1) -> List:
     """Load dumps (v1 or v2) with up to ``jobs`` worker processes.
 
@@ -64,75 +45,9 @@ def parallel_load(paths: Sequence[str], jobs: int = 1) -> List:
     paths = list(paths)
     if jobs <= 1 or len(paths) <= 1:
         return [_load_one(path) for path in paths]
-    return _pool(jobs).run(_load_one, paths)
+    from repro.parallel.scheduler import get_pool
 
-
-def _tag_unresolved(profile: StitchedProfile, tag: str) -> StitchedProfile:
-    """Qualify UnresolvedRef origins with the shard they came from.
-
-    Synopsis values are only unique *within* a shard's stages: without
-    the qualifier, unresolved placeholders from different shards could
-    spuriously collide (same origin name, same 32-bit value, different
-    transactions) and merge weights that belong to distinct contexts.
-    Fully resolved contexts contain no refs and merge by value, which
-    is exactly what cross-shard aggregation wants.
-    """
-    if not any(
-        isinstance(element, UnresolvedRef)
-        for _, context in profile.entries
-        for element in context
-    ):
-        return profile
-    tagged = StitchedProfile()
-    for (stage, context), cct in profile.entries.items():
-        elements = [
-            UnresolvedRef(f"{element.origin}{tag}", element.value)
-            if isinstance(element, UnresolvedRef)
-            else element
-            for element in context
-        ]
-        tagged.add(stage, TransactionContext(elements), cct)
-    tagged.synopsis_refs = profile.synopsis_refs
-    tagged.unresolved_refs = profile.unresolved_refs
-    return tagged
-
-
-def parallel_stitch(
-    groups: Sequence[Sequence[str]],
-    jobs: int = 1,
-    strict: bool = True,
-    pool=None,
-) -> StitchedProfile:
-    """Stitch dump groups in parallel and reduce deterministically.
-
-    Each group is one self-contained resolution universe (one shard's
-    per-stage dumps).  With a single group this degenerates to the
-    serial presentation phase.  The multi-group reduce goes through the
-    exact accumulator, so it is byte-identical to
-    :func:`repro.parallel.reduce.hierarchical_stitch` over the same
-    groups at any group size.
-    """
-    groups = [list(group) for group in groups]
-    tasks = [(group, strict) for group in groups]
-    if pool is None and jobs > 1 and len(tasks) > 1:
-        pool = _pool(jobs)
-    if pool is None or len(tasks) <= 1:
-        profiles = [_stitch_group(task) for task in tasks]
-    else:
-        profiles = pool.run(_stitch_group, tasks)
-    if len(groups) <= 1:
-        # Single resolution universe: plain clone-merge, no shard
-        # tagging — the classic serial presentation phase.
-        merged = StitchedProfile()
-        for profile in profiles:
-            merged.merge(profile)
-        return merged
-    from repro.parallel.reduce import ProfileAccumulator
-
-    accumulator = ProfileAccumulator()
-    for index, profile in enumerate(profiles):
-        accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
-    return accumulator.finalize()
+    return get_pool(jobs).run(_load_one, paths)
 
 
 def spool_groups(spool_dir: str) -> List[List[str]]:
@@ -140,39 +55,48 @@ def spool_groups(spool_dir: str) -> List[List[str]]:
 
     The manifest stores only manifest-relative paths, so a spool
     directory rsync'd to another machine resolves against its new
-    location with no rewriting.
+    location with no rewriting.  A manifest that is not JSON, lacks a
+    key, or names a path outside the spool or a dump that is not there
+    raises ``ValueError`` — before any shard is handed to a worker.
     """
     manifest_path = os.path.join(spool_dir, MANIFEST_NAME)
     with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    return [
-        [os.path.join(spool_dir, group["dir"], name) for name in group["files"]]
-        for group in sorted(manifest["groups"], key=lambda g: g["index"])
+        text = handle.read()
+    try:
+        groups = [
+            [os.path.join(group["dir"], name) for name in group["files"]]
+            for group in sorted(
+                json.loads(text)["groups"], key=lambda group: group["index"]
+            )
+        ]
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(
+            f"malformed spool manifest {manifest_path!r}: {error!r}"
+        ) from None
+    for path in (path for group in groups for path in group):
+        normal = os.path.normpath(path)
+        if os.path.isabs(normal) or normal.split(os.sep)[0] == os.pardir:
+            raise ValueError(
+                f"spool manifest {manifest_path!r} names {path!r}, "
+                "outside the spool"
+            )
+    groups = [
+        [os.path.join(spool_dir, path) for path in group] for group in groups
     ]
+    for path in (path for group in groups for path in group):
+        if not os.path.isfile(path):
+            raise ValueError(
+                f"spool manifest {manifest_path!r} names missing dump {path!r}"
+            )
+    return groups
 
 
 def stitch_spool(
-    spool_dir: str,
-    jobs: int = 1,
-    strict: bool = True,
-    group_size: Optional[int] = None,
-    stats=None,
+    spool_dir: str, jobs: int = 1, strict: bool = True
 ) -> StitchedProfile:
     """Stitch a spool directory written by :func:`repro.parallel.runner.
-    run_shards`, using its manifest to group dumps per shard.
-
-    ``group_size=None`` runs the flat map-reduce; any integer (0 for
-    the ≈√N default) routes through the hierarchical two-level reduce —
-    output bytes are identical either way.
-    """
-    groups = spool_groups(spool_dir)
-    if group_size is None:
-        return parallel_stitch(groups, jobs=jobs, strict=strict)
-    from repro.parallel.reduce import hierarchical_stitch
-
-    return hierarchical_stitch(
-        groups, jobs=jobs, group_size=group_size, strict=strict, stats=stats
-    )
+    run_shards`, using its manifest to group dumps per shard."""
+    return stitch_groups(spool_groups(spool_dir), jobs=jobs, strict=strict)
 
 
 def canonical_profile_bytes(profile: StitchedProfile) -> bytes:

@@ -145,8 +145,7 @@ def test_sharded_live_collection_folds_like_parallel_stitch(tmp_path):
     exact accumulator with @shardN tagging, must match the sharded
     post-mortem map-reduce byte-for-byte."""
     from repro.parallel import plan_shards, run_shards
-    from repro.parallel.reduce import ProfileAccumulator
-    from repro.parallel.stitching import _tag_unresolved
+    from repro.parallel.reduce import ProfileAccumulator, tag_shard
 
     live_dir = tmp_path / "live"
     spool = tmp_path / "spool"
@@ -170,12 +169,55 @@ def test_sharded_live_collection_folds_like_parallel_stitch(tmp_path):
         assert list_checkpoints(shard_dir)
         recovered = LiveCollector.recover(shard_dir)
         accumulator.add_profile(
-            _tag_unresolved(
-                recovered.stitched_profile(strict=False), f"@shard{index}"
-            )
+            tag_shard(recovered.stitched_profile(strict=False), index)
         )
         extra = run.results[index].extra["live"]
         assert extra["samples"] == recovered.samples
         assert extra["sink_errors"] == 0
     folded = accumulator.finalize()
     assert _digest(folded) == _digest(run.stitch(strict=False))
+
+
+def test_single_shard_live_dir_folds_like_its_spool(tmp_path, capsys):
+    """A live dir holding only ``shard-0000/`` is one resolution
+    universe: its unresolved refs stay untagged, and ``live-report`` /
+    ``load_run`` digest it exactly as ``stitch`` digests its spool."""
+    from repro.cli import main
+    from repro.core.context import UnresolvedRef
+    from repro.core.persist import load_run
+    from repro.parallel import plan_shards, run_shards, stitch_spool
+
+    live_dir = tmp_path / "live"
+    spool = tmp_path / "spool"
+    plan = plan_shards(
+        "tpcw",
+        seed=7,
+        clients=12,
+        shards=1,
+        duration=16.0,
+        warmup=2.0,
+        params={"fault_plan": "crash=tomcat@9.0,crash=mysql@14.0"},
+        spool_dir=str(spool),
+        live_dir=str(live_dir),
+        live_interval=2.0,
+        live_resident=8,
+    )
+    run_shards(plan, jobs=1)
+    assert [path.name for path in live_dir.iterdir()] == ["shard-0000"]
+
+    live = load_run(str(live_dir), strict=False).profile
+    assert live.unresolved_refs > 0
+    origins = [
+        element.origin
+        for _, context in live.entries
+        for element in context
+        if isinstance(element, UnresolvedRef)
+    ]
+    assert origins and not any("@shard" in origin for origin in origins)
+    assert _digest(live) == _digest(stitch_spool(str(spool), strict=False))
+
+    capsys.readouterr()
+    assert main(["live-report", str(live_dir), "--digest"]) == 0
+    live_digest = capsys.readouterr().out.strip()
+    assert main(["stitch", str(spool), "--digest"]) == 0
+    assert capsys.readouterr().out.strip() == live_digest == _digest(live)

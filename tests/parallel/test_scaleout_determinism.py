@@ -19,9 +19,9 @@ from repro.apps.tpcw import TpcwSystem
 from repro.core.persist import PROFILE_FORMATS
 from repro.parallel import (
     canonical_profile_bytes,
-    parallel_stitch,
     plan_shards,
     run_shards,
+    stitch_groups,
     stitch_spool,
 )
 
@@ -82,8 +82,8 @@ def test_jobs_do_not_change_the_output(tmp_path):
 def test_parallel_stitch_equals_serial_stitch(tmp_path):
     run, spool = _run(tmp_path, shards=4, jobs=1, tag="stitch")
     groups = run.dump_groups()
-    serial = parallel_stitch(groups, jobs=1)
-    pooled = parallel_stitch(groups, jobs=3)
+    serial = stitch_groups(groups, jobs=1)
+    pooled = stitch_groups(groups, jobs=3)
     assert canonical_profile_bytes(serial) == canonical_profile_bytes(pooled)
     # The spool manifest reconstructs the same groups.
     from_manifest = stitch_spool(spool, jobs=2)
@@ -160,8 +160,9 @@ def test_openloop_shards_are_deterministic(tmp_path):
     assert serial.served() == pooled.served()
     assert serial.mean_response() == pooled.mean_response()
     assert serial.sessions_started() == 600  # the budget, exactly
+    # One-group fold at jobs=1 against the √N tree on the pool.
     assert canonical_profile_bytes(serial.stitch()) == canonical_profile_bytes(
-        pooled.stitch(jobs=2, group_size=2)
+        pooled.stitch(jobs=2)
     )
 
 

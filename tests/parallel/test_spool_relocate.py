@@ -10,6 +10,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from repro.parallel import (
     canonical_profile_bytes,
     plan_shards,
@@ -75,14 +77,19 @@ class TestRelocation:
         assert after == before
 
     def test_relocated_hierarchical_reduce(self, tmp_path):
+        from repro.parallel import shutdown_pools
+
         spool = tmp_path / "spool"
         _spool_run(spool)
         flat = canonical_profile_bytes(stitch_spool(str(spool)))
         relocated = tmp_path / "elsewhere"
         shutil.move(str(spool), str(relocated))
-        assert canonical_profile_bytes(
-            stitch_spool(str(relocated), group_size=2)
-        ) == flat
+        try:
+            # jobs=2 folds the 3 shards as a tree of 2 groups on the pool.
+            tree = stitch_spool(str(relocated), jobs=2)
+        finally:
+            shutdown_pools()
+        assert canonical_profile_bytes(tree) == flat
 
     def test_relocated_v1_spool(self, tmp_path):
         spool = tmp_path / "spool"
@@ -93,3 +100,95 @@ class TestRelocation:
         assert canonical_profile_bytes(
             stitch_spool(str(relocated))
         ) == before
+
+
+class TestManifestValidation:
+    """A manifest is untrusted input: it may only name files inside its
+    own spool, and a malformed one fails with one ValueError naming it."""
+
+    @staticmethod
+    def _rewrite(spool, edit):
+        path = spool / MANIFEST_NAME
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def spool(self, tmp_path):
+        spool = tmp_path / "spool"
+        _spool_run(spool)
+        return spool
+
+    def _assert_rejected(self, spool, manifest_path):
+        with pytest.raises(ValueError, match="manifest") as caught:
+            spool_groups(str(spool))
+        assert manifest_path in str(caught.value)
+        with pytest.raises(ValueError):
+            stitch_spool(str(spool))
+
+    def test_absolute_group_dir_is_rejected(self, spool, tmp_path):
+        outside = tmp_path / "outside"
+        shutil.copytree(str(spool / "shard-0000"), str(outside))
+
+        def edit(manifest):
+            manifest["groups"][0]["dir"] = str(outside)
+            return manifest
+
+        self._assert_rejected(spool, self._rewrite(spool, edit))
+
+    def test_escaping_group_dir_is_rejected(self, spool, tmp_path):
+        shutil.copytree(str(spool / "shard-0000"), str(tmp_path / "outside"))
+
+        def edit(manifest):
+            manifest["groups"][0]["dir"] = os.path.join("..", "outside")
+            return manifest
+
+        self._assert_rejected(spool, self._rewrite(spool, edit))
+
+    def test_escaping_file_name_is_rejected(self, spool, tmp_path):
+        shutil.copytree(str(spool / "shard-0000"), str(tmp_path / "outside"))
+
+        def edit(manifest):
+            files = manifest["groups"][1]["files"]
+            files[0] = os.path.join("..", "..", "outside", files[0])
+            return manifest
+
+        self._assert_rejected(spool, self._rewrite(spool, edit))
+
+    def test_absolute_file_name_is_rejected(self, spool):
+        target = str(spool / "shard-0000" / "haboob.profile.wdp")
+
+        def edit(manifest):
+            manifest["groups"][1]["files"] = [target]
+            return manifest
+
+        self._assert_rejected(spool, self._rewrite(spool, edit))
+
+    def test_empty_manifest_is_rejected(self, spool):
+        self._assert_rejected(spool, self._rewrite(spool, lambda _: {}))
+
+    def test_group_missing_a_key_is_rejected(self, spool):
+        def edit(manifest):
+            del manifest["groups"][2]["files"]
+            return manifest
+
+        self._assert_rejected(spool, self._rewrite(spool, edit))
+
+    def test_non_json_manifest_is_rejected(self, spool):
+        path = spool / MANIFEST_NAME
+        path.write_text("{not json", encoding="utf-8")
+        self._assert_rejected(spool, str(path))
+
+    def test_inner_dotdot_that_stays_inside_is_accepted(self, spool):
+        def edit(manifest):
+            manifest["groups"][0]["dir"] = os.path.join(
+                "shard-0001", "..", "shard-0000"
+            )
+            return manifest
+
+        before = spool_groups(str(spool))
+        self._rewrite(spool, edit)
+        after = spool_groups(str(spool))
+        assert [
+            [os.path.normpath(path) for path in group] for group in after
+        ] == before

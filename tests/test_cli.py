@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -197,3 +199,68 @@ def test_diff_rejects_missing_source(tmp_path, capsys):
     missing = tmp_path / "nope"
     assert main(["diff", str(missing), str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_stitch_rejects_missing_path(tmp_path, capsys):
+    missing = tmp_path / "nope.profile.wdp"
+    assert main(["stitch", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(missing) in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_stitch_rejects_spool_without_manifest(tmp_path, capsys):
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    assert main(["stitch", str(spool), "--digest"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest.json" in err
+    assert err.count("\n") == 1
+
+
+def _two_shard_spool(tmp_path):
+    from repro.parallel import plan_shards, run_shards
+
+    spool = tmp_path / "spool"
+    plan = plan_shards(
+        "haboob",
+        seed=42,
+        clients=10,
+        shards=2,
+        duration=2.5,
+        spool_dir=str(spool),
+        profile_format="v2",
+    )
+    return spool, run_shards(plan, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stitch_spool_missing_dump_is_one_line_at_any_jobs(
+    tmp_path, capsys, jobs
+):
+    spool, run = _two_shard_spool(tmp_path)
+    missing = run.dump_groups()[1][0]
+    os.remove(missing)
+    assert main(["stitch", str(spool), "--digest", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stitch_spool_corrupt_dump_is_one_line_at_any_jobs(
+    tmp_path, capsys, jobs
+):
+    from repro.parallel import shutdown_pools
+
+    spool, run = _two_shard_spool(tmp_path)
+    with open(run.dump_groups()[1][0], "wb") as handle:
+        handle.write(b"not a profile dump")
+    try:
+        assert main(["stitch", str(spool), "--digest", "--jobs", jobs]) == 2
+    finally:
+        shutdown_pools()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1  # no worker traceback
